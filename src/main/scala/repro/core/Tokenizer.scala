@@ -33,5 +33,8 @@ object Tokenizer {
   /** Jaccard over token *sets* (headers, descriptions). */
   def jaccard(a: Set[String], b: Set[String]): Double =
     if (a.isEmpty && b.isEmpty) 0.0
-    else a.intersect(b).size.toDouble / a.union(b).size
+    else {
+      val shared = a.count(b)
+      shared.toDouble / (a.size + b.size - shared)
+    }
 }

@@ -107,10 +107,17 @@ case class FrozenFeaturizer(name: String, budget: ValueFeaturizer.Budget, seed: 
   }
 }
 
-/** Small fixed thread pool for driver-side pure-CPU maps. */
+/** Small fixed thread pool for driver-side pure-CPU maps. Its threads are
+  * daemons, so an idle pool never keeps the JVM alive after `main` returns.
+  */
 object Parallel {
   private val pool = java.util.concurrent.Executors.newFixedThreadPool(
-    math.max(2, Runtime.getRuntime.availableProcessors() - 1))
+    math.max(2, Runtime.getRuntime.availableProcessors() - 1),
+    { (r: Runnable) =>
+      val t = java.util.concurrent.Executors.defaultThreadFactory().newThread(r)
+      t.setDaemon(true)
+      t
+    })
 
   def map[T, U](xs: Seq[T])(f: T => U): Seq[U] = {
     import scala.jdk.CollectionConverters._

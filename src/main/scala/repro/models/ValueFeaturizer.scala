@@ -31,7 +31,7 @@ case class ValueView(
 object ColumnEmbedder {
   private val proj = new RandomProjection(dim = 48, buckets = 512, seed = 77)
   def embedCounts(bag: Map[String, Int]): Array[Double] = proj.embedCounts(bag)
-  def cosine(a: Array[Double], b: Array[Double]): Double = proj.cosine(a, b)
+  def cosine(a: Array[Double], b: Array[Double]): Double = RandomProjection.cosine(a, b)
 }
 
 object ValueFeaturizer {

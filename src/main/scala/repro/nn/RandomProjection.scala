@@ -51,11 +51,23 @@ final class RandomProjection(val dim: Int, val buckets: Int, seed: Long) extends
     if (norm > 0) { var i = 0; while (i < dim) { out(i) /= norm; i += 1 } }
     out
   }
+}
 
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
+object RandomProjection {
+
+  /** Dot product of two embeddings — their cosine, as embeddings are unit
+    * vectors. The repo's one dot product: finetune features and every
+    * search score sum the products in this order.
+    */
+  def cosine(a: Array[Double], b: Array[Double]): Double = dot(a, b, 0)
+
+  /** Dot product of `a` with the `a.length` values of `b` from `bFrom`, for
+    * embeddings stored row after row in one array.
+    */
+  def dot(a: Array[Double], b: Array[Double], bFrom: Int): Double = {
     var s = 0.0
     var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
+    while (i < a.length) { s += a(i) * b(bFrom + i); i += 1 }
     s
   }
 }

@@ -101,9 +101,5 @@ object Embeddings {
     l2(l2(mean) ++ content ++ headers)
   }
 
-  def cosine(a: Array[Double], b: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += a(i) * b(i); i += 1 }
-    s
-  }
+  def cosine(a: Array[Double], b: Array[Double]): Double = RandomProjection.cosine(a, b)
 }

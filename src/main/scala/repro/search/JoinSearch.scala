@@ -1,8 +1,6 @@
 package repro.search
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
 import repro.core.{MinHash, TableSketch}
 import repro.lake.LakeTable
@@ -15,18 +13,26 @@ import repro.lakebench.WikiLake
   *
   * Methods:
   *  - TabSketchFM: nearest-neighbor join over contextual column embeddings
-  *    (sketches + value embedding), computed as a Spark DataFrame
-  *    cross-join + window ranking over Parquet-persisted embeddings.
+  *    (sketches + value embedding), persisted to Parquet by
+  *    [[embeddingsDf]] and ranked by the best-matching column per table.
   *  - LSHForest-lite: MinHash band candidates ranked by estimated Jaccard.
   *  - JOSIE-lite: exact value-overlap ranking (set containment search).
   *  - EmbedJoin: value-embedding cosine only (WarpGate stand-in).
+  *
+  * Every method splits into a corpus side and a per-query scorer. The
+  * corpus side — the embeddings DataFrame collected into dense rows, the
+  * value embeddings, the band index, the value postings — is built on a
+  * method's first call and reused while later calls pass the same corpus
+  * objects (see [[BuildMemo]]). A query then runs in memory, with no Spark
+  * job, and every method ranks through one top-k: score descending, ties
+  * by table id.
   */
 object JoinSearch {
 
   case class ColumnEmb(tableId: String, colIdx: Int, emb: Array[Double])
 
-  /** Build, persist to Parquet, and reload the embedding table — search
-    * then runs as a DataFrame self-join over the Parquet data.
+  /** Build, persist to Parquet, and reload the embedding table; the
+    * TabSketchFM join search collects it once into its in-memory index.
     */
   def embeddingsDf(spark: SparkSession, sketches: Map[String, TableSketch],
                    tables: Map[String, LakeTable], path: String): DataFrame = {
@@ -41,88 +47,94 @@ object JoinSearch {
     spark.read.parquet(path)
   }
 
-  private val dot = udf { (a: Seq[Double], b: Seq[Double]) =>
-    var s = 0.0; var i = 0
-    val n = math.min(a.length, b.length)
-    while (i < n) { s += a(i) * b(i); i += 1 }
-    s
-  }
+  private val embeddingIndex = new BuildMemo[EmbeddingIndex]
 
   /** Top-k joinable tables per query (queries are (tableId, colIdx) of the
-    * entity columns): NN join of query embeddings against all lake column
-    * embeddings, max-scored per candidate table, ranked by window.
+    * entity columns): each other table scores the highest dot product of a
+    * query column embedding with any of its column embeddings. A query
+    * table asked with several columns is scored over all of them. A query
+    * gets an entry only when it has an answer: not when its column is
+    * absent from `emb`, when no other table is, or when k is 0.
     */
   def searchEmbeddings(spark: SparkSession, emb: DataFrame,
                        queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    import spark.implicits._
-    val queryDf = queries.toDF("qTable", "qCol")
-    val q = emb.join(queryDf, emb("tableId") === queryDf("qTable") && emb("colIdx") === queryDf("qCol"))
-      .select($"qTable", $"emb" as "qEmb")
-    val scored = q.crossJoin(emb.select($"tableId" as "cTable", $"emb" as "cEmb"))
-      .where($"qTable" =!= $"cTable")
-      .withColumn("score", dot($"qEmb", $"cEmb"))
-      .groupBy($"qTable", $"cTable").agg(max($"score") as "score")
-    val ranked = scored
-      .withColumn("rank", row_number().over(Window.partitionBy($"qTable").orderBy(desc("score"), asc("cTable"))))
-      .where($"rank" <= k)
-    ranked.collect()
-      .groupBy(_.getAs[String]("qTable"))
-      .view.mapValues(_.sortBy(_.getAs[Int]("rank")).map(_.getAs[String]("cTable")).toSeq)
-      .toMap
+    val index = embeddingIndex(emb)(EmbeddingIndex(emb.select("tableId", "colIdx", "emb").collect().toSeq
+      .map(r => (r.getString(0), r.getInt(1), r.getSeq[Double](2).toArray))))
+    queries.groupMap(_._1)(_._2).flatMap { case (qt, qcs) => index.topK(qt, qcs.toSet, k).map(qt -> _) }
+      .filter(_._2.nonEmpty)
   }
+
+  /** Every lake column's distinct non-null values, and their postings: for
+    * each value, the columns holding it.
+    */
+  private final class Postings(val colTable: IndexedSeq[String], val colOf: Map[(String, Int), Int],
+                               val values: IndexedSeq[Set[String]], val postings: Map[String, Seq[Int]])
+
+  private val josieIndex = new BuildMemo[Postings]
 
   /** JOSIE-lite: rank candidate tables by exact max value overlap of any
     * column with the query column (overlap set similarity search).
     */
   def searchJosie(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val colSets: Map[String, Seq[Set[String]]] =
-      tables.map { case (id, t) => id -> t.columnNames.indices.map(i => t.column(i).filter(_ != null).toSet) }
-    queries.map { case (qt, qc) =>
-      val qSet = colSets(qt)(qc)
-      val ranked = tables.keys.filter(_ != qt).map { cand =>
-        val best = colSets(cand).map(s => s.intersect(qSet).size).max
-        (cand, best)
-      }.toSeq.sortBy { case (id, s) => (-s, id) }
-      qt -> ranked.takeWhile(_._2 > 0).take(k).map(_._1)
+    val p = josieIndex(tables) {
+      val cols = tables.toIndexedSeq.flatMap { case (id, t) =>
+        t.columnNames.indices.map(i => (id, i, t.column(i).filter(_ != null).toSet))
+      }
+      new Postings(cols.map(_._1), cols.indices.map(c => (cols(c)._1, cols(c)._2) -> c).toMap, cols.map(_._3),
+                   cols.indices.flatMap(c => cols(c)._3.iterator.map(_ -> c)).groupMap(_._1)(_._2))
+    }
+    queries.flatMap { case (qt, qc) =>
+      p.colOf.get((qt, qc)).map { q =>
+        val overlap = new Array[Int](p.colTable.length)
+        p.values(q).foreach(v => p.postings(v).foreach(c => overlap(c) += 1))
+        val best = collection.mutable.Map.empty[String, Int]
+        overlap.indices.foreach { c =>
+          val id = p.colTable(c)
+          if (overlap(c) > 0 && id != qt) best(id) = math.max(best.getOrElse(id, 0), overlap(c))
+        }
+        qt -> Ranking.topK(best.view.mapValues(_.toDouble), k).map(_._1)
+      }
     }.toMap
   }
+
+  /** MinHash band index: each band key's (table, column) holders, and every
+    * column's value signature by (table, column position).
+    */
+  private final class BandIndex(val bands: Map[Long, Seq[(String, Int)]],
+                                val sigs: Map[String, IndexedSeq[Array[Long]]])
+
+  private val lshIndex = new BuildMemo[BandIndex]
 
   /** LSHForest-lite: candidates sharing a MinHash band, ranked by the
     * estimated Jaccard of the best-matching column.
     */
   def searchLsh(sketches: Map[String, TableSketch], queries: Seq[(String, Int)], k: Int,
                 rowsPerBand: Int = 4): Map[String, Seq[String]] = {
-    val index: Map[Long, Seq[(String, Int)]] =
+    val index = lshIndex.withParams(Seq(sketches), rowsPerBand)(new BandIndex(
       sketches.values.flatMap { s =>
         s.columns.flatMap(c => MinHash.bandKeys(c.valueMinHash, rowsPerBand).map(b => b -> (s.tableId, c.position)))
-      }.toSeq.groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+      }.toSeq.groupMap(_._1)(_._2),
+      sketches.view.mapValues(_.columns.map(_.valueMinHash).toIndexedSeq).toMap))
     queries.map { case (qt, qc) =>
-      val qSig = sketches(qt).columns(qc).valueMinHash
-      val cands = MinHash.bandKeys(qSig, rowsPerBand).flatMap(index.getOrElse(_, Seq.empty))
-        .filter(_._1 != qt).distinct
-      val ranked = cands.map { case (ct, cc) =>
-        (ct, MinHash.jaccard(qSig, sketches(ct).columns(cc).valueMinHash))
-      }.groupBy(_._1).view.mapValues(_.map(_._2).max).toSeq
-        .sortBy { case (id, j) => (-j, id) }
-      qt -> ranked.take(k).map(_._1)
+      val qSig = index.sigs(qt)(qc)
+      val cands = MinHash.bandKeys(qSig, rowsPerBand).flatMap(index.bands.getOrElse(_, Seq.empty))
+        .filter(_._1 != qt)
+      val scored = cands.groupMapReduce(_._1) { case (ct, cc) => MinHash.jaccard(qSig, index.sigs(ct)(cc)) }(math.max)
+      qt -> Ranking.topK(scored, k).map(_._1)
     }.toMap
   }
 
+  private val valueIndex = new BuildMemo[EmbeddingIndex]
+
   /** EmbedJoin (WarpGate stand-in): value-embedding cosine only. */
   def searchEmbedJoin(tables: Map[String, LakeTable], queries: Seq[(String, Int)], k: Int): Map[String, Seq[String]] = {
-    val embs: Map[String, Seq[Array[Double]]] = tables.map { case (id, t) =>
-      id -> t.columnNames.indices.map { i =>
-        Embeddings.valueEmbedder.embed(
-          t.column(i).filter(_ != null).take(100).flatMap(repro.core.Tokenizer.tokenize))
+    val index = valueIndex(tables)(EmbeddingIndex(repro.models.Parallel.map(tables.toSeq) { case (id, t) =>
+      t.columnNames.indices.map { i =>
+        (id, i, Embeddings.valueEmbedder.embed(
+          t.column(i).filter(_ != null).take(100).flatMap(repro.core.Tokenizer.tokenize)))
       }
-    }
-    queries.map { case (qt, qc) =>
-      val q = embs(qt)(qc)
-      val ranked = tables.keys.filter(_ != qt).map { cand =>
-        (cand, embs(cand).map(e => Embeddings.cosine(q, e)).max)
-      }.toSeq.sortBy { case (id, c) => (-c, id) }
-      qt -> ranked.take(k).map(_._1)
-    }.toMap
+    }.flatten))
+    queries.flatMap { case (qt, qc) => index.topK(qt, Set(qc), k).map(qt -> _) }.toMap
   }
 
   /** Ground truth: tables of the same concept with entity overlap. */
